@@ -11,14 +11,16 @@ Two sections, each gating one kernel generation:
   baseline is present the benchmark asserts the kernel is at least 2x
   faster end to end.
 
-* ``test_vector_kernel_speedup`` (v2) times the *same trace* under both
-  ``SimulationConfig.kernel`` values on a propagation-heavy world — a
-  deep binary tree, where the python kernel pays per-hop ``_transmit``
-  calls and per-node arrival events that the vector kernel batches into
-  numpy delivery waves.  Both kernels must process the identical event
-  count (waves count their folded arrivals), and the vector kernel must
-  be at least ``V2_MIN_SPEEDUP`` faster; a speedup below 1.0x means the
-  vector kernel has regressed behind the oracle and fails loudly.
+* ``test_delivery_wave_speedup`` (v2) times one trace on a
+  propagation-heavy world — a deep binary tree, where per-hop forwarding
+  used to pay one engine entry and one arrival callback per node and
+  delivery waves fold all arrivals of a packet at one instant into one
+  entry.  The committed ``v2.python`` record in ``BENCH_kernel.json``
+  was recorded on the per-hop path (the retired ``kernel="python"``);
+  the run must process exactly its event count (waves count their
+  folded arrivals) and be at least ``V2_MIN_SPEEDUP`` faster.  A speedup
+  below 1.0x means the wave path has fallen behind the per-hop record
+  and fails loudly.
 
 Each test merges its section into ``BENCH_kernel.json``, preserving the
 other's.  Run via ``cesrm bench kernel`` (exits non-zero on any gate
@@ -26,7 +28,7 @@ failure) or directly::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py -q
 
-Record a fresh v1 baseline (only for a deliberate re-baseline)::
+Record fresh baselines (only for a deliberate re-baseline)::
 
     PYTHONPATH=src REPRO_BENCH_REBASELINE=1 python -m pytest benchmarks/bench_kernel.py -q
 """
@@ -43,7 +45,7 @@ from repro.harness.config import SimulationConfig
 from repro.harness.runner import run_trace
 from repro.traces.synthesize import synthesize_trace
 from repro.traces.yajnik import FIGURE_TRACES, trace_meta
-from repro.workloads.topology import synthesize_topology_trace
+from repro.net.families import synthesize_topology_trace
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 PROTOCOLS = ("srm", "cesrm")
@@ -59,8 +61,8 @@ REPS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
 #: delivery (2 router hops per receiver against ~1 for a wide
 #: transit-stub), which is exactly the work wave batching removes.
 #: Near-zero loss keeps the run propagation-dominated — the recovery
-#: path is protocol logic both kernels execute identically, so heavy
-#: loss would only dilute the measurement.
+#: path is protocol logic that waves do not touch, so heavy loss would
+#: only dilute the measurement.
 V2_SPEC = "tree:depth=12,fanout=2,loss=1e-9,packets=80"
 V2_PACKETS = 80
 V2_PROTOCOL = "cesrm"
@@ -166,14 +168,11 @@ def test_kernel_sweep_speedup():
         )
 
 
-def _v2_run(kernel: str, trace, reps: int = REPS) -> dict:
-    """Min-of-``reps`` wall time for one kernel on the v2 world, gc
-    paused around each timed run, event count checked across reps."""
+def _v2_run(trace, reps: int = REPS) -> dict:
+    """Min-of-``reps`` wall time on the v2 world, gc paused around each
+    timed run, event count checked across reps."""
     config = SimulationConfig(
-        max_packets=V2_PACKETS,
-        prime_distances=True,
-        drain_time=2.0,
-        kernel=kernel,
+        max_packets=V2_PACKETS, prime_distances=True, drain_time=2.0
     )
     best = None
     events = None
@@ -190,7 +189,7 @@ def _v2_run(kernel: str, trace, reps: int = REPS) -> dict:
                 events = result.events_processed
             elif events != result.events_processed:
                 raise AssertionError(
-                    f"{kernel}: event count varied across repetitions "
+                    f"event count varied across repetitions "
                     f"({events} vs {result.events_processed})"
                 )
             if best is None or elapsed < best:
@@ -199,19 +198,22 @@ def _v2_run(kernel: str, trace, reps: int = REPS) -> dict:
         if gc_was_enabled:
             gc.enable()
     return {
-        "kernel": kernel,
         "wall_time": round(best, 4),
         "events_processed": events,
         "events_per_sec": round(events / best),
     }
 
 
-def test_vector_kernel_speedup():
-    trace = synthesize_topology_trace(V2_SPEC, seed=SEED, max_packets=V2_PACKETS)
-    python_run = _v2_run("python", trace)
-    vector_run = _v2_run("vector", trace)
+def test_delivery_wave_speedup():
+    previous = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
+    baseline = previous.get("v2", {}).get("python")
 
-    speedup = python_run["wall_time"] / vector_run["wall_time"]
+    trace = synthesize_topology_trace(V2_SPEC, seed=SEED, max_packets=V2_PACKETS)
+    current = _v2_run(trace)
+    if baseline is None or os.environ.get("REPRO_BENCH_REBASELINE"):
+        baseline = current
+
+    speedup = baseline["wall_time"] / current["wall_time"]
     _merge_payload(
         {
             "v2": {
@@ -220,26 +222,27 @@ def test_vector_kernel_speedup():
                 "max_packets": V2_PACKETS,
                 "seed": SEED,
                 "reps": REPS,
-                "python": python_run,
-                "vector": vector_run,
+                "python": baseline,
+                "current": current,
                 "speedup": round(speedup, 3),
                 "min_speedup": V2_MIN_SPEEDUP,
             }
         }
     )
 
-    # One wave event folds N arrivals, but events_processed counts them
-    # all — the two kernels must agree on the total work performed.
-    assert vector_run["events_processed"] == python_run["events_processed"], (
-        "vector kernel event count diverged from the python oracle"
+    # One wave entry folds N arrivals, but events_processed counts them
+    # all — the run must perform exactly the recorded per-hop work.
+    assert current["events_processed"] == baseline["events_processed"], (
+        "delivery-wave event count diverged from the per-hop record"
     )
-    assert speedup >= 1.0, (
-        f"vector kernel is SLOWER than the python oracle "
-        f"({speedup:.2f}x); the batched hot path has regressed"
-    )
-    assert speedup >= V2_MIN_SPEEDUP, (
-        f"vector kernel speedup {speedup:.2f}x is below the "
-        f"{V2_MIN_SPEEDUP:.1f}x gate (python "
-        f"{python_run['wall_time']:.2f}s, vector "
-        f"{vector_run['wall_time']:.2f}s)"
-    )
+    if baseline is not current:  # a real per-hop baseline exists
+        assert speedup >= 1.0, (
+            f"delivery waves are SLOWER than the per-hop record "
+            f"({speedup:.2f}x); the wave hot path has regressed"
+        )
+        assert speedup >= V2_MIN_SPEEDUP, (
+            f"delivery-wave speedup {speedup:.2f}x is below the "
+            f"{V2_MIN_SPEEDUP:.1f}x gate (per-hop "
+            f"{baseline['wall_time']:.2f}s, waves "
+            f"{current['wall_time']:.2f}s)"
+        )

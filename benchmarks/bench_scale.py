@@ -14,9 +14,9 @@ what the stack actually sustains, in three sections:
   propagation-focused (per-link loss ~1e-9, so zero sampled losses):
   recovery traffic scales O(n^2) — every loss triggers request/reply
   multicasts fanned to all n members — and is measured separately.
-  ``scale_curve_vector`` repeats the series under ``kernel="vector"``
-  (kernel v2 delivery waves) so the trajectory shows the batching
-  payoff at 10^5 receivers; both curves must agree on event counts.
+  The series recorded under the retired ``kernel="vector"`` numpy
+  kernel survives in the payload's ``history`` list, which every write
+  carries over.
 
 * ``expedited_advantage`` — CESRM vs SRM on the same lossy trace at the
   scales where SRM's global suppression is still affordable to
@@ -59,7 +59,7 @@ from repro.metrics.memory import peak_rss_mb
 from repro.net.families import build_topology
 from repro.net.index import TopologyIndex
 from repro.net.topology import NodeKind
-from repro.workloads.topology import synthesize_topology_trace
+from repro.net.families import synthesize_topology_trace
 
 ROOT = Path(__file__).parent.parent
 RESULT_PATH = ROOT / "BENCH_scale.json"
@@ -100,15 +100,13 @@ import json, sys, time
 from repro.harness.config import SimulationConfig
 from repro.harness.runner import run_trace
 from repro.metrics.memory import peak_rss_mb
-from repro.workloads.topology import synthesize_topology_trace
+from repro.net.families import synthesize_topology_trace
 
-spec, packets, kernel = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+spec, packets = sys.argv[1], int(sys.argv[2])
 t0 = time.perf_counter()
 trace = synthesize_topology_trace(spec, seed=0, max_packets=packets)
 synth_s = time.perf_counter() - t0
-config = SimulationConfig(
-    max_packets=packets, prime_distances=True, drain_time=2.0, kernel=kernel
-)
+config = SimulationConfig(max_packets=packets, prime_distances=True, drain_time=2.0)
 t0 = time.perf_counter()
 result = run_trace(trace, "cesrm", config)
 wall_s = time.perf_counter() - t0
@@ -140,13 +138,13 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _run_curve(kernel: str) -> list[dict]:
+def _run_curve() -> list[dict]:
     points = [(n, spec) for n, spec in SCALE_POINTS if n <= max_receivers()]
     assert points, "REPRO_SCALE_MAX_RECEIVERS excludes every scale point"
     curve = []
     for n, spec in points:
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, spec, str(PACKETS), kernel],
+            [sys.executable, "-c", _CHILD, spec, str(PACKETS)],
             capture_output=True,
             text=True,
             env=_child_env(),
@@ -164,21 +162,7 @@ def _run_curve(kernel: str) -> list[dict]:
 
 
 def test_scale_curve():
-    RESULTS["scale_curve"] = _run_curve("python")
-
-
-def test_scale_curve_vector():
-    """The same series under ``kernel=\"vector\"`` — the scale payoff of
-    wave batching.  Event counts must match the python curve point for
-    point (waves fold arrivals but still count them), and the top point
-    must be faster than its python twin."""
-    curve = _run_curve("vector")
-    RESULTS["scale_curve_vector"] = curve
-    python_curve = RESULTS.get("scale_curve")
-    if python_curve:  # section ordering: python curve runs first
-        for py_row, vec_row in zip(python_curve, curve):
-            assert vec_row["events"] == py_row["events"], vec_row["spec"]
-        assert curve[-1]["wall_s"] < python_curve[-1]["wall_s"]
+    RESULTS["scale_curve"] = _run_curve()
 
 
 def _recovery_stats(result) -> dict:
@@ -278,8 +262,10 @@ def test_index_patch_speedup():
 
 
 def test_write_payload():
-    """Last in file order: persists whatever sections ran."""
+    """Last in file order: persists whatever sections ran, plus the
+    ``history`` of retired series from the previous payload."""
     assert RESULTS, "no bench sections recorded"
+    previous = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
     payload = {
         "suite": "scale",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -287,6 +273,7 @@ def test_write_payload():
         "curve_packets": PACKETS,
         "curve_prime_distances": True,
         "max_receivers": max_receivers(),
+        "history": previous.get("history", []),
         **RESULTS,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -82,9 +82,9 @@ def trace_drop_rule(link_combos: Mapping[int, frozenset[LinkId]]) -> HopRule:
     # Declares the rule a pure function of DATA packets only: the network's
     # hot path may skip consulting the injector for other kinds entirely.
     rule.data_only = True
-    # Exposes the drop table itself: the vector kernel batches these
-    # deterministic per-seqno drops as one array membership test instead
-    # of a per-hop call (repro.net.vector).
+    # Exposes the drop table itself: when these tables are the only rules,
+    # the network checks a DATA packet's hops against a per-seqno set of
+    # hop keys built from them instead of calling on_hop per hop.
     rule.link_combos = link_combos
     return rule
 

@@ -240,14 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocol for the `run` command",
     )
     parser.add_argument(
-        "--kernel",
-        default="python",
-        choices=("python", "vector"),
-        help="forwarding kernel: the pure-python reference path or the "
-        "numpy batched delivery-wave kernel (`cesrm run --kernel vector`; "
-        "both produce byte-identical results — see docs/performance.md)",
-    )
-    parser.add_argument(
         "--cache",
         default="",
         type=_cache_policy_arg,
@@ -501,8 +493,6 @@ def _context(args: argparse.Namespace) -> exp.ExperimentContext:
     )
     if getattr(args, "verify", False):
         ctx.config = ctx.config.with_(verify_period=0.05)
-    if getattr(args, "kernel", "python") != "python":
-        ctx.config = ctx.config.with_(kernel=args.kernel)
     return ctx
 
 

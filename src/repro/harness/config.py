@@ -77,15 +77,6 @@ class SimulationConfig:
     #: keeps runs byte-identical to pre-scale builds (the field is
     #: omitted from job keys and summaries when False).
     prime_distances: bool = False
-    #: Forwarding-kernel selection: ``"python"`` — the pure-python
-    #: per-hop reference path, the oracle every optimization is measured
-    #: against — or ``"vector"`` — the numpy batched delivery-wave kernel
-    #: (see ``repro.net.vector`` and docs/performance.md).  Both produce
-    #: byte-identical ``RunSummary`` output (gated by
-    #: ``tests/test_kernel_equivalence.py``); ``"python"`` — the default —
-    #: is omitted from job keys and summaries so pre-v2 digests are
-    #: unchanged.
-    kernel: str = "python"
     #: Master seed for all protocol jitter in the run.
     seed: int = 0
     #: Replay only the first N packets of the trace (None = full trace).
@@ -114,10 +105,6 @@ class SimulationConfig:
             from repro.core.cachelab import compile_cache_policy
 
             compile_cache_policy(self.cache)
-        if self.kernel not in ("python", "vector"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r} (expected 'python' or 'vector')"
-            )
         if self.warmup_periods < 0:
             raise ValueError("warmup_periods must be non-negative")
         if self.drain_time < 0:

@@ -210,6 +210,8 @@ def build_simulation(
     sim = Simulator()
     sim.tracer = tracer
     sim.profiler = profiler
+    if profiler is not None:
+        profiler.sim = sim
     registry = RngRegistry(config.seed).fork(f"run:{protocol}:{trace.name}")
     metrics = MetricsCollector()
     network = Network(
@@ -217,7 +219,6 @@ def build_simulation(
         tree,
         propagation_delay=config.propagation_delay,
         bandwidth_bps=config.bandwidth_bps,
-        kernel=config.kernel,
     )
     # Loss injection (§4.3): the trace replay and the lossy-recovery
     # ablation are hop rules of the same injector that executes the plan.

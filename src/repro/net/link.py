@@ -33,13 +33,18 @@ class LinkState:
     def enqueue(self, now: float, size_bytes: int) -> float:
         """Admit a packet at local time ``now``; return its arrival time at
         the far end (queueing + transmission + propagation)."""
-        start = max(now, self.busy_until)
-        tx = self.transmission_time(size_bytes)
+        busy = self.busy_until
+        start = busy if busy > now else now
         self.queueing_delay_total += start - now
-        self.busy_until = start + tx
+        if size_bytes > 0:
+            end = start + size_bytes * 8.0 / self.bandwidth_bps
+            self.bytes_carried += size_bytes
+        else:
+            # A 0-byte control packet: no serialization, nothing carried.
+            end = start
+        self.busy_until = end
         self.packets_carried += 1
-        self.bytes_carried += size_bytes
-        return start + tx + self.propagation_delay
+        return end + self.propagation_delay
 
     @property
     def mean_queueing_delay(self) -> float:

@@ -16,13 +16,17 @@ Three propagation modes exist, mirroring the paper:
 * ``subcast`` — downstream flood from a router (router-assisted CESRM,
   §3.3), reaching only the subtree below the turning point.
 
-Internally every mode runs on the integer-indexed forwarding kernel: node
-ids are interned once through the tree's :class:`~repro.net.index
-.TopologyIndex`, each directed hop is a prebuilt record carrying its
-endpoint names and :class:`LinkState`, unicast walks a precomputed integer
-path, and arrivals go through the engine's raw no-``Event`` scheduling
-path.  The observable contract is unchanged: loss hooks, fault-injector
-hop rules, and trace events all still see string node ids.
+Internally every mode runs on integer node ids interned once through the
+tree's :class:`~repro.net.index.TopologyIndex`; each directed hop is a
+prebuilt record carrying its endpoint names, :class:`LinkState` and int
+key.  Floods and subcasts travel as *delivery waves*: one engine entry
+holds every arrival of one packet at one instant, and firing it delivers
+and forwards node by node in exactly the order per-hop arrival entries
+would (see :meth:`Network._wave`).  Unicast walks a precomputed integer
+path as a chain of per-hop entries.  Loss hooks, fault-injector hop
+rules, and trace events see every hop of every mode, with string node
+ids and in per-hop order, through :meth:`Network._cross`; waves take a
+hop inline only when none of them can see it.
 """
 
 from __future__ import annotations
@@ -74,6 +78,10 @@ _UNICAST_CONTROL_SLOTS = tuple(
 #: ``u * n + v`` keying broke the moment ``n`` grew).  2^21 node ids is
 #: comfortably above the topology registry's receiver cap.
 _HOP_SHIFT = 21
+
+#: One directed hop, resolved once at build time: ``(to_id, from_name,
+#: to_name, link, hop_key)`` — everything one crossing touches.
+HopRecord = tuple[int, str, str, LinkState, int]
 
 
 class Agent(Protocol):
@@ -184,7 +192,6 @@ class Network:
         tree: MulticastTree,
         propagation_delay: float = 0.020,
         bandwidth_bps: float = 1.5e6,
-        kernel: str = "python",
     ) -> None:
         self.sim = sim
         self.tree = tree
@@ -213,11 +220,10 @@ class Network:
         self._names = index.names
         #: Agent slot per interned node id (None at routers / unattached).
         self._agents_by_id: list[Agent | None] = [None] * n
-        #: Directed-hop records ``(to_id, from_name, to_name, link)`` —
-        #: everything one transmission touches, resolved once at build time.
-        #: ``_adj`` fans out children-first-then-parent (the flood order);
-        #: ``_child_adj`` is the downstream-only fan-out for subcast.
-        hop_record: dict[int, tuple[int, str, str, LinkState]] = {}
+        #: Directed-hop records by hop key.  ``_adj`` fans out
+        #: children-first-then-parent (the flood order); ``_child_adj`` is
+        #: the downstream-only fan-out for subcast.
+        hop_record: dict[int, HopRecord] = {}
         names = index.names
         for parent_id, kids in enumerate(index.children):
             for child_id in kids:
@@ -227,32 +233,25 @@ class Network:
                         propagation_delay=propagation_delay,
                     )
                     self._links[(names[u], names[v])] = link
-                    hop_record[u << _HOP_SHIFT | v] = (v, names[u], names[v], link)
+                    key = u << _HOP_SHIFT | v
+                    hop_record[key] = (v, names[u], names[v], link, key)
         self._hop_record = hop_record
-        self._child_adj: list[tuple[tuple[int, str, str, LinkState], ...]] = [
+        self._child_adj: list[tuple[HopRecord, ...]] = [
             tuple(
                 hop_record[node << _HOP_SHIFT | child]
                 for child in index.children[node]
             )
             for node in range(n)
         ]
-        self._adj: list[tuple[tuple[int, str, str, LinkState], ...]] = [
+        self._adj: list[tuple[HopRecord, ...]] = [
             tuple(hop_record[node << _HOP_SHIFT | nb] for nb in index.neighbors[node])
             for node in range(n)
         ]
-        #: Kernel v2 (``kernel="vector"``): delegate the send primitives to
-        #: the numpy delivery-wave engine.  None — the default — keeps the
-        #: pure-python per-hop path, the oracle the vector kernel is
-        #: byte-equivalence-tested against.
-        self._vk = None
-        if kernel == "vector":
-            from repro.net.vector import VectorKernel
-
-            self._vk = VectorKernel(self)
-        elif kernel != "python":
-            raise ValueError(
-                f"unknown kernel {kernel!r} (expected 'python' or 'vector')"
-            )
+        #: ``(injector, rule count, link_combos tables or None)`` the drop
+        #: keys below were built for (see :meth:`_hop_check`).
+        self._drop_tables: tuple[Any, int, tuple | None] = (None, 0, None)
+        #: seqno -> hop keys on which that DATA packet dies.
+        self._drop_keys: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
     # Attachment
@@ -304,15 +303,11 @@ class Network:
                 propagation_delay=self.propagation_delay,
             )
             self._links[(names[u], names[v])] = link
-            hop_record[u << _HOP_SHIFT | v] = (v, names[u], names[v], link)
+            key = u << _HOP_SHIFT | v
+            hop_record[key] = (v, names[u], names[v], link, key)
         self._rebuild_adjacency(nid)
         self._rebuild_adjacency(pid)
-        if self._vk is not None:
-            # Fresh links get fresh columnar state too: dropping the hop
-            # keys forces the rejoined edges to intern new zeroed ids.
-            self._vk.invalidate(
-                pid << _HOP_SHIFT | nid, nid << _HOP_SHIFT | pid
-            )
+        self._drop_keys.clear()
         return nid
 
     def detach_subtree(self, name: str) -> tuple[str, ...]:
@@ -336,19 +331,13 @@ class Network:
             for u, v in ((prid, rid), (rid, prid)):
                 self._links.pop((names[u], names[v]), None)
                 hop_record.pop(u << _HOP_SHIFT | v, None)
-                if self._vk is not None:
-                    self._vk.invalidate(u << _HOP_SHIFT | v)
         self._rebuild_adjacency(pid)
+        self._drop_keys.clear()
         return removed
 
     def link_state(self, u: str, v: str) -> LinkState:
         """The directed link state for the hop ``u -> v``."""
-        link = self._links[(u, v)]
-        if self._vk is not None:
-            # Vector mode: the columnar arrays are the live authority;
-            # sync the legacy object on read.
-            self._vk.sync_link(self._ids[u], self._ids[v], link)
-        return link
+        return self._links[(u, v)]
 
     # ------------------------------------------------------------------
     # Latency helpers
@@ -372,10 +361,8 @@ class Network:
         if self.sim.tracer is not None:
             self._trace_send(packet)
         slot = _KIND_INDEX[packet.kind] * _N_CAST + _MULTICAST_COL
-        if self._vk is not None:
-            self._vk.flood_from(self._ids[packet.origin], packet, slot)
-        else:
-            self._flood(self._ids[packet.origin], -1, packet, slot)
+        origin = self._ids[packet.origin]
+        self._wave(packet, slot, self._adj, origin, [origin], [-1])
         return packet
 
     def unicast(self, dest: str, packet: Packet) -> Packet:
@@ -396,10 +383,7 @@ class Network:
             return packet
         slot = _KIND_INDEX[packet.kind] * _N_CAST + _UNICAST_COL
         path = self._index.path_ints(self._ids[packet.origin], dest_id)
-        if self._vk is not None:
-            self._vk.unicast_transmit(path, 0, packet, False, slot)
-        else:
-            self._unicast_transmit(path, 0, packet, False, slot)
+        self._unicast_hop(path, 0, packet, False, slot)
         return packet
 
     def unicast_then_subcast(self, turning_point: str, packet: Packet) -> Packet:
@@ -412,80 +396,135 @@ class Network:
             self._trace_send(packet, turning_point=turning_point)
         slot = _KIND_INDEX[packet.kind] * _N_CAST + _SUBCAST_COL
         origin_id = self._ids[packet.origin]
-        if self._vk is not None:
-            if turning_point == packet.origin:
-                self._vk.subcast_from(origin_id, packet, origin_id, slot)
-                return packet
-            path = self._index.path_ints(origin_id, self._ids[turning_point])
-            self._vk.unicast_transmit(path, 0, packet, True, slot)
-            return packet
         if turning_point == packet.origin:
-            self._subcast_from(origin_id, packet, origin_id, slot)
+            self._wave(packet, slot, self._child_adj, origin_id, [origin_id], [-1])
             return packet
         path = self._index.path_ints(origin_id, self._ids[turning_point])
-        self._unicast_transmit(path, 0, packet, True, slot)
+        self._unicast_hop(path, 0, packet, True, slot)
         return packet
 
     # ------------------------------------------------------------------
-    # Internals (integer kernel)
+    # Delivery waves
     # ------------------------------------------------------------------
-    def _flood(self, node: int, from_node: int, packet: Packet, slot: int) -> None:
-        for record in self._adj[node]:
-            to = record[0]
-            if to != from_node:
-                self._transmit(
-                    record, packet, slot, self._flood_arrival, (to, node, packet, slot)
-                )
-
-    def _flood_arrival(
-        self, node: int, from_node: int, packet: Packet, slot: int
+    def _wave(
+        self,
+        packet: Packet,
+        slot: int,
+        adj: list[tuple[HopRecord, ...]],
+        skip: int,
+        nodes: list[int],
+        froms: list[int],
     ) -> None:
-        agent = self._agents_by_id[node]
-        if agent is not None:
-            # A flood never revisits its origin (acyclic tree + the
-            # arrival-link exclusion), so no origin check is needed here.
-            # Inline of _deliver (one call per delivery saved).
-            self.packets_delivered += 1
-            if self.sim.tracer is not None:
-                self._trace_deliver(node, packet)
-            agent.receive(packet)
-        # Inline of _flood (one call per arrival saved on the hottest path).
-        for record in self._adj[node]:
-            to = record[0]
-            if to != from_node:
-                self._transmit(
-                    record, packet, slot, self._flood_arrival, (to, node, packet, slot)
-                )
+        """Fire one delivery wave: every arrival of ``packet`` at one
+        instant, as parallel ``nodes``/``froms`` lists in arrival order.
 
-    def _subcast_from(
-        self, router: int, packet: Packet, origin: int, slot: int
-    ) -> None:
-        for record in self._child_adj[router]:
-            self._transmit(
-                record,
-                packet,
-                slot,
-                self._subcast_arrival,
-                (record[0], packet, origin, slot),
-            )
+        Each node in turn is delivered to (unless it is ``skip``, or its
+        ``from`` is -1: the node the packet starts from), then forwards
+        over ``adj`` — the full adjacency for a flood, the children for a
+        subcast — skipping the link it arrived on.  Each forwarded hop
+        joins the last wave this firing opened if it arrives at that
+        wave's instant while the wave is still the last entry of its
+        bucket, and opens a new wave otherwise, so the queue holds
+        exactly the per-hop arrival entries it would hold one by one,
+        merely grouped.
+        """
+        sim = self.sim
+        # One engine entry stands for len(nodes) arrivals.
+        sim._events_processed += len(nodes) - 1
+        check = self._hop_check(packet)
+        tracer = sim.tracer
+        # Hops that no drop_fn, on_hop rule or tracer can see skip
+        # straight to the drop keys and the link queue.
+        plain = check is not True and self.drop_fn is None and tracer is None
+        now = sim._now
+        size = packet.size_bytes
+        agents = self._agents_by_id
+        buckets = sim._buckets
+        # The wave this firing opened last: sibling hops mostly share an
+        # arrival instant.
+        last_at = -1.0
+        last_bucket = last_entry = last_nodes = last_froms = None
+        hops = 0
+        delivered = 0
+        for node, frm in zip(nodes, froms):
+            if frm >= 0:
+                agent = agents[node]
+                # A flood never revisits its origin; a subcast can sweep
+                # back over the replier itself (``skip``).
+                if agent is not None and node != skip:
+                    delivered += 1
+                    if tracer is not None:
+                        self._trace_deliver(node, packet)
+                    agent.receive(packet)
+            for record in adj[node]:
+                to = record[0]
+                if to == frm:
+                    continue
+                hops += 1
+                copy_at = None
+                if not plain:
+                    at = self._cross(record, packet, slot, check)
+                    if at is None:
+                        continue
+                    if at.__class__ is tuple:
+                        at, copy_at = at
+                elif check is not None and record[4] in check:
+                    self._record_drop(record[1], record[2], packet, None)
+                    continue
+                else:
+                    # Inline of LinkState.enqueue — identical float-op
+                    # order, minus a method call on the hottest line in
+                    # the simulator.  The 0-byte control branch skips the
+                    # arithmetic that is a no-op there.
+                    link = record[3]
+                    busy = link.busy_until
+                    start = busy if busy > now else now
+                    link.queueing_delay_total += start - now
+                    if size > 0:
+                        end = start + size * 8.0 / link.bandwidth_bps
+                        link.bytes_carried += size
+                    else:
+                        end = start
+                    link.busy_until = end
+                    link.packets_carried += 1
+                    at = end + link.propagation_delay
+                # Join the last wave while it is still its bucket's tail;
+                # otherwise open a new one behind whatever was queued.
+                if at == last_at and last_bucket[-1] is last_entry:
+                    last_nodes.append(to)
+                    last_froms.append(node)
+                else:
+                    last_at = at
+                    last_nodes = [to]
+                    last_froms = [node]
+                    last_entry = (
+                        self._wave,
+                        (packet, slot, adj, skip, last_nodes, last_froms),
+                    )
+                    last_bucket = buckets.get(at)
+                    if last_bucket is not None:
+                        last_bucket.append(last_entry)
+                    else:
+                        # ``at`` >= now: queueing and propagation never run back.
+                        last_bucket = sim._open_bucket(at, last_entry)
+                if copy_at is not None:
+                    # A fault rule duplicated the packet on this hop: the
+                    # copy is its own arrival entry, right behind.
+                    sim.schedule_raw(
+                        copy_at, self._wave, (packet, slot, adj, skip, [to], [node])
+                    )
+        # Inline of CrossingCounter.record_slot: one update per wave.
+        crossings = self.crossings
+        crossings._slots[slot] += hops
+        crossings._kind_counts[_SLOT_ROW[slot]] += hops
+        crossings._cast_counts[_SLOT_COL[slot]] += hops
+        crossings._total += hops
+        self.packets_delivered += delivered
 
-    def _subcast_arrival(
-        self, node: int, packet: Packet, origin: int, slot: int
-    ) -> None:
-        agent = self._agents_by_id[node]
-        if agent is not None and node != origin:
-            # Subcast can sweep back over the replier itself; skip it.
-            self._deliver(node, agent, packet)
-        for record in self._child_adj[node]:
-            self._transmit(
-                record,
-                packet,
-                slot,
-                self._subcast_arrival,
-                (record[0], packet, origin, slot),
-            )
-
-    def _unicast_transmit(
+    # ------------------------------------------------------------------
+    # Unicast: a per-hop chain
+    # ------------------------------------------------------------------
+    def _unicast_hop(
         self,
         path: tuple[int, ...],
         index: int,
@@ -499,13 +538,13 @@ class Network:
             # link down under this packet); it dies here.
             self.packets_dropped += 1
             return
-        self._transmit(
-            record,
-            packet,
-            slot,
-            self._unicast_arrival,
-            (path, index, packet, then_subcast, slot),
-        )
+        self.crossings.record_slot(slot)
+        at = self._cross(record, packet, slot, self._hop_check(packet))
+        if at is None:
+            return
+        args = (path, index, packet, then_subcast, slot)
+        for copy_at in at if at.__class__ is tuple else (at,):
+            self.sim.schedule_raw(copy_at, self._unicast_arrival, args)
 
     def _unicast_arrival(
         self,
@@ -516,11 +555,13 @@ class Network:
         slot: int,
     ) -> None:
         if index + 2 < len(path):
-            self._unicast_transmit(path, index + 1, packet, then_subcast, slot)
+            self._unicast_hop(path, index + 1, packet, then_subcast, slot)
             return
         node = path[index + 1]
         if then_subcast:
-            self._subcast_from(node, packet, self._ids[packet.origin], slot)
+            self._wave(
+                packet, slot, self._child_adj, self._ids[packet.origin], [node], [-1]
+            )
             return
         agent = self._agents_by_id[node]
         if agent is None:
@@ -532,44 +573,85 @@ class Network:
             )
         self._deliver(node, agent, packet)
 
-    def _transmit(
+    # ------------------------------------------------------------------
+    # Crossing one hop
+    # ------------------------------------------------------------------
+    def _hop_check(self, packet: Packet) -> set[int] | bool | None:
+        """How ``packet``'s hops consult the fault injector right now:
+        None — not at all; True — :meth:`FaultInjector.on_hop` per hop;
+        or the set of hop keys on which the packet deterministically
+        dies, when the trace-drop tables (``rule.link_combos``) are the
+        only rules that can see it.  Constant within one wave: only
+        scheduled events change an injector's outages or rules."""
+        faults = self.faults
+        if faults is None:
+            return None
+        if faults._down or not faults._rules_data_only:
+            return True
+        if packet.kind is not _DATA_KIND:
+            # Every rule is data-only: on_hop would return None.
+            return None
+        rules = faults._hop_rules
+        cached = self._drop_tables
+        if cached[0] is not faults or cached[1] != len(rules):
+            tables = tuple(getattr(rule, "link_combos", None) for rule in rules)
+            if None in tables:
+                tables = None
+            cached = self._drop_tables = (faults, len(rules), tables)
+            self._drop_keys.clear()
+        tables = cached[2]
+        if tables is None:
+            return True
+        seqno = packet.seqno
+        keys = self._drop_keys.get(seqno)
+        if keys is None:
+            ids = self._ids
+            keys = set()
+            for table in tables:
+                for u, v in table.get(seqno, ()):
+                    if u in ids and v in ids:
+                        keys.add(ids[u] << _HOP_SHIFT | ids[v])
+            self._drop_keys[seqno] = keys
+        return keys or None
+
+    def _cross(
         self,
-        record: tuple[int, str, str, LinkState],
+        record: HopRecord,
         packet: Packet,
         slot: int,
-        on_arrival: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> None:
-        _, u, v, link = record
-        # Inline of CrossingCounter.record_slot (same module, hottest line).
-        crossings = self.crossings
-        crossings._slots[slot] += 1
-        crossings._kind_counts[_SLOT_ROW[slot]] += 1
-        crossings._cast_counts[_SLOT_COL[slot]] += 1
-        crossings._total += 1
+        check: set[int] | bool | None,
+    ) -> float | tuple[float, float] | None:
+        """Carry ``packet`` over one directed hop: apply ``drop_fn``, the
+        fault check (see :meth:`_hop_check`) and tracer events, and queue
+        it on the hop's :class:`LinkState`.  The caller counts the
+        crossing (a lost packet still crossed); a duplicate copy is
+        counted here.  Waves take the hops none of the three can see
+        inline.
+
+        Returns the arrival instant at the far end, an ``(original,
+        copy)`` pair of instants when a fault rule duplicates it, or None
+        when the packet is lost on the hop.
+        """
+        _, u, v, link, key = record
         sim = self.sim
         tracer = sim.tracer
         if self.drop_fn is not None and self.drop_fn(u, v, packet):
             self._record_drop(u, v, packet, tracer)
-            return
+            return None
         duplicate = False
         extra_delay = 0.0
-        faults = self.faults
-        if faults is not None and (
-            faults._down
-            or not faults._rules_data_only
-            or packet.kind is _DATA_KIND
-        ):
-            # Skipped when every rule is tagged data-only, no link is down,
-            # and this is not a DATA packet: on_hop would provably return
-            # None without side effects.
-            effect = faults.on_hop(u, v, packet)
-            if effect is not None:
-                if effect.drop:
-                    self._record_drop(u, v, packet, tracer)
-                    return
-                duplicate = effect.duplicate
-                extra_delay = effect.extra_delay
+        if check is not None:
+            if check is True:
+                effect = self.faults.on_hop(u, v, packet)
+                if effect is not None:
+                    if effect.drop:
+                        self._record_drop(u, v, packet, tracer)
+                        return None
+                    duplicate = effect.duplicate
+                    extra_delay = effect.extra_delay
+            elif key in check:
+                self._record_drop(u, v, packet, tracer)
+                return None
         now = sim._now
         if tracer is not None:
             wait = link.busy_until - now
@@ -594,39 +676,14 @@ class Network:
                     wait=wait,
                 )
                 tracer.observe("net.queueing_delay", wait)
-        # Inline of LinkState.enqueue — identical float-op order, minus the
-        # method-call overhead on the hottest line in the simulator.  The
-        # 0-byte control branch skips the arithmetic that is a no-op there
-        # (``tx == 0.0`` leaves ``end == start``; ``bytes += 0`` is inert).
-        busy = link.busy_until
-        start = busy if busy > now else now
         size = packet.size_bytes
-        link.queueing_delay_total += start - now
-        if size > 0:
-            end = start + size * 8.0 / link.bandwidth_bps
-            link.bytes_carried += size
-        else:
-            end = start
-        link.busy_until = end
-        link.packets_carried += 1
-        arrival = end + link.propagation_delay + extra_delay
-        # Inline of schedule_raw's bucket-hit fast path.  Safe to skip the
-        # past-check: a pending bucket's timestamp is always >= sim._now
-        # (earlier buckets would already have been drained), so an existing
-        # bucket at ``arrival`` proves the time is legal.  Sibling hops of
-        # a flood share arrival instants constantly, so the hit rate is
-        # high on exactly the hottest path.
-        bucket = sim._buckets.get(arrival)
-        if bucket is not None:
-            bucket.append((on_arrival, args))
-        else:
-            sim.schedule_raw(arrival, on_arrival, args)
+        arrival = link.enqueue(now, size) + extra_delay
         if duplicate:
             # The copy serializes behind the original on the same link and
             # continues with the same forwarding behaviour downstream.
-            crossings.record_slot(slot)
-            dup_arrival = link.enqueue(now, packet.size_bytes)
-            sim.schedule_raw(dup_arrival + extra_delay, on_arrival, args)
+            self.crossings.record_slot(slot)
+            return arrival, link.enqueue(now, size) + extra_delay
+        return arrival
 
     def _record_drop(self, u: str, v: str, packet: Packet, tracer) -> None:
         self.packets_dropped += 1

@@ -2,7 +2,7 @@
 
 Attach a :class:`SimProfiler` to ``Simulator.profiler`` and every fired
 event's callback is timed with ``perf_counter`` and attributed to a
-handler label (``SrmAgent._request_timer_fired``, ``Network._flood_arrival``,
+handler label (``SrmAgent._request_timer_fired``, ``Network._wave``,
 ...).  The result — events processed and wall-clock per handler — answers
 "where does sim wall-clock go?" without any external tooling, and exports
 as plain JSON through ``RunSummary.obs``.
@@ -27,24 +27,33 @@ class SimProfiler:
         self.handlers: dict[str, list[float]] = {}
         self.events = 0
         self.wall_s = 0.0
+        #: The profiled :class:`~repro.sim.engine.Simulator` (set by
+        #: ``run_trace``).  An engine entry counts the events it adds to
+        #: ``events_processed``: a network delivery wave is one entry
+        #: standing for every arrival it folds.  Unbound, each entry
+        #: counts one.
+        self.sim = None
 
     def record_call(
         self, callback: Callable[..., Any], args: tuple[Any, ...]
     ) -> None:
         """Invoke ``callback(*args)``, timing and attributing it."""
+        sim = self.sim
+        before = 0 if sim is None else sim.events_processed
         start = perf_counter()
         try:
             callback(*args)
         finally:
             elapsed = perf_counter() - start
+            events = 1 if sim is None else 1 + sim.events_processed - before
             label = callback_label(callback)
             entry = self.handlers.get(label)
             if entry is None:
-                self.handlers[label] = [1, elapsed]
+                self.handlers[label] = [events, elapsed]
             else:
-                entry[0] += 1
+                entry[0] += events
                 entry[1] += elapsed
-            self.events += 1
+            self.events += events
             self.wall_s += elapsed
 
     def summary(self) -> dict[str, Any]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.network import Network
 from repro.net.packet import Cast, Packet, PacketKind
+from repro.net.topology import MulticastTree
 from repro.sim.engine import Simulator
 
 from tests.helpers import deep_tree, line_tree, two_subtrees
@@ -83,6 +84,29 @@ class TestMulticast:
         network.multicast(control_packet("r1"))
         sim.run()
         assert network.crossings.total() == 7
+
+
+    def test_send_from_receive_keeps_per_hop_order(self):
+        # s -> {x1 -> {r1, x3 -> r2}, x2 -> r3}.  A flood from r1 reaches
+        # x3 and then s at one instant.  s answers from receive() with a
+        # unicast to r3 whose first hop lands at the same instant as the
+        # flood's next hops: it was queued after x3's hop and before s's,
+        # so r3 must get the answer first, exactly as hop by hop.
+        parents = {"x1": "s", "x2": "s", "r1": "x1", "x3": "x1", "r2": "x3", "r3": "x2"}
+        sim, network, sinks = build(MulticastTree("s", parents, ["r1", "r2", "r3"]))
+        flood = control_packet("r1", seqno=1)
+        answer = control_packet("s", seqno=2)
+
+        class Answerer(Sink):
+            def receive(self, packet):
+                super().receive(packet)
+                if packet is flood:
+                    network.unicast("r3", answer)
+
+        network.attach("s", Answerer(sim))
+        network.multicast(flood)
+        sim.run()
+        assert [p.seqno for _, p in sinks["r3"].received] == [2, 1]
 
 
 class TestUnicast:
