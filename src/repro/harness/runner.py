@@ -17,6 +17,7 @@ schedules (link outages, crashes, duplication...) passed via ``faults=``.
 
 from __future__ import annotations
 
+import gc
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any
@@ -187,7 +188,33 @@ def build_simulation(
     :class:`~repro.churn.ChurnPlan`); a non-empty spec installs a seeded
     join/leave process over the run, and the empty spec leaves the run
     byte-identical to a build without churn support.
+
+    The build allocates a few objects per host and frees almost none, so
+    the cyclic collector would only re-scan the growing world (several
+    full collections at 10^4 hosts); it is paused for the build and the
+    caller's setting is restored afterwards, also when the build raises.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_simulation(
+            synthetic, protocol, config, tracer, profiler, faults, workload, churn
+        )
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _build_simulation(
+    synthetic: SyntheticTrace,
+    protocol: str,
+    config: SimulationConfig,
+    tracer,
+    profiler,
+    faults: FaultPlan | None,
+    workload,
+    churn: str,
+) -> Simulation:
     spec = get_spec(protocol)
     plan = faults if faults is not None else FaultPlan()
     churn_plan = None
@@ -234,15 +261,16 @@ def build_simulation(
 
     def make_agent(host: str) -> SrmAgent:
         # One recipe for initial members and churn joiners alike: every
-        # agent draws jitter from its own named stream, so membership
-        # changes never perturb another host's randomness.
+        # agent draws jitter from its own named stream (``agent:{host}``,
+        # created at its first draw), so membership changes never perturb
+        # another host's randomness.
         kwargs: dict = dict(
             sim=sim,
             network=network,
             host_id=host,
             source=tree.source,
             params=config.params,
-            rng=registry.stream(f"agent:{host}"),
+            rng=registry,
             metrics=metrics,
             session_period=config.session_period,
             detect_on_request=config.detect_on_request,

@@ -137,7 +137,7 @@ def _expedited_iff_missing(agent: SrmAgent, now: float) -> str | None:
 def _failed_is_silent(agent: SrmAgent, now: float) -> str | None:
     if not agent.failed:
         return None
-    if agent._session_timer.running:
+    if agent._session_timer is not None and agent._session_timer.running:
         return f"{agent.host_id}: failed host with running session timer"
     for src in agent.known_sources():
         state = agent.source_state(src)

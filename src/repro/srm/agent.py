@@ -37,6 +37,7 @@ from repro.net.network import Network
 from repro.net.packet import CONTROL_BYTES, PAYLOAD_BYTES, Packet, PacketKind
 from repro.obs.events import EventKind
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.srm.constants import SrmParams
 from repro.srm.session import DistanceEstimator, SessionReport
@@ -78,7 +79,10 @@ class SrmAgent:
     params:
         SRM scheduling constants.
     rng:
-        The random stream used for all timer jitter at this host.
+        The random stream used for all timer jitter at this host, or the
+        run's :class:`~repro.sim.rng.RngRegistry`, whose ``agent:{host_id}``
+        stream the agent then creates at its first draw (most hosts of a
+        lossless run never draw).
     metrics:
         Shared per-run metrics collector.
     session_period:
@@ -99,7 +103,7 @@ class SrmAgent:
         host_id: str,
         source: str,
         params: SrmParams,
-        rng: random.Random,
+        rng: random.Random | RngRegistry,
         metrics: MetricsCollector,
         session_period: float = 1.0,
         detect_on_request: bool = True,
@@ -109,7 +113,7 @@ class SrmAgent:
         self.host_id = host_id
         self.primary_source = source
         self.params = params
-        self.rng = rng
+        self._rng = rng
         self.metrics = metrics
         self.session_period = session_period
         self.detect_on_request = detect_on_request
@@ -122,9 +126,20 @@ class SrmAgent:
         self.sessions_suppressed = 0
         self.distances = DistanceEstimator(host_id)
         self._sources: dict[str, SourceState] = {}
-        self._session_timer = PeriodicTimer(sim, session_period, self._send_session)
+        #: Allocated by the first :meth:`start` / :meth:`restart`; primed
+        #: agents never start sessions and never hold one.
+        self._session_timer: PeriodicTimer | None = None
 
         network.attach(host_id, self)
+
+    @property
+    def rng(self) -> random.Random:
+        """This host's jitter stream; when the agent was given a registry,
+        the stream is created at the first draw."""
+        rng = self._rng
+        if isinstance(rng, RngRegistry):
+            rng = self._rng = rng.stream(f"agent:{self.host_id}")
+        return rng
 
     # ------------------------------------------------------------------
     # Per-source state
@@ -162,7 +177,7 @@ class SrmAgent:
     # ------------------------------------------------------------------
     def start(self, session_offset: float = 0.0) -> None:
         """Begin session-message exchange; first message at ``offset``."""
-        self._session_timer.start(first_delay=session_offset)
+        self._session_clock().start(first_delay=session_offset)
 
     def fail(self) -> None:
         """Crash this host: it stops sending, replying, and recovering.
@@ -183,11 +198,20 @@ class SrmAgent:
         if not self.failed:
             return
         self.failed = False
-        self._session_timer.start()
+        self._session_clock().start()
+
+    def _session_clock(self) -> PeriodicTimer:
+        timer = self._session_timer
+        if timer is None:
+            timer = self._session_timer = PeriodicTimer(
+                self.sim, self.session_period, self._send_session
+            )
+        return timer
 
     def stop(self) -> None:
         """Stop periodic activity (end of run)."""
-        self._session_timer.stop()
+        if self._session_timer is not None:
+            self._session_timer.stop()
         for state in self._sources.values():
             for request in state.request_states.values():
                 request.timer.cancel()

@@ -94,21 +94,13 @@ class DistanceEstimator:
     def prime(self, oracle: TreeDistanceOracle) -> None:
         """Back this estimator with an analytic oracle: session-learned
         estimates still win, and any peer never heard from resolves to
-        its true tree distance instead of the default.  Swaps the
-        ``get_or`` fast path; unprimed estimators keep the bound
-        ``dict.get`` byte for byte."""
+        its true tree distance instead of the default.  Drops the bound
+        ``dict.get`` fast path for the class method, which consults the
+        oracle, so priming allocates nothing per host; unprimed
+        estimators keep the bound ``dict.get`` byte for byte."""
+        if self._oracle is None:
+            del self.get_or  # the instance's bound ``dict.get`` shadow
         self._oracle = oracle
-        host_id = self.host_id
-        estimates_get = self._estimates.get
-        oracle_distance = oracle.distance
-
-        def get_or(peer: str, default: float) -> float:
-            found = estimates_get(peer)
-            if found is not None:
-                return found
-            return oracle_distance(host_id, peer)
-
-        self.get_or = get_or
 
     # -- incoming ------------------------------------------------------
     def on_session(self, report: SessionReport, now: float) -> None:
@@ -141,7 +133,12 @@ class DistanceEstimator:
         return self._estimates.get(peer)
 
     def get_or(self, peer: str, default: float) -> float:
-        return self._estimates.get(peer, default)
+        found = self._estimates.get(peer)
+        if found is not None:
+            return found
+        if self._oracle is None:
+            return default
+        return self._oracle.distance(self.host_id, peer)
 
     def known_peers(self) -> set[str]:
         return set(self._estimates)

@@ -133,7 +133,9 @@ def _geometric(p: float, rng: random.Random, limit: int) -> int:
     """A Geometric(p) draw on {1, 2, ...}, capped at ``limit``."""
     if p >= 1.0:
         return 1
-    if p <= 0.0:
+    if p <= 0.0 or 1.0 - p == 1.0:
+        # 1 - p rounds to 1.0 for p <= 2**-54, so log(1 - p) is 0; the
+        # expected run outlasts any trace.
         return limit
     # Inverse transform: ceil(log(U) / log(1 - p)) has the geometric law.
     u = rng.random()

@@ -92,6 +92,14 @@ class TestSampling:
         assert model.sample(0, random.Random(0)) == b""
         assert model.sample_mask(0, random.Random(0)) == 0
 
+    def test_sub_epsilon_rate_samples_without_error(self):
+        # p_gb is about 3e-18, so 1 - p_gb rounds to 1.0: the GOOD run
+        # spans the whole trace.
+        model = GilbertModel.from_rate_and_burst(1e-17, 3.0)
+        assert 1.0 - model.p_gb == 1.0
+        for seed in range(20):
+            assert model.sample_mask(200, random.Random(seed)) < (1 << 200)
+
     def test_mask_never_exceeds_length(self):
         model = GilbertModel.from_rate_and_burst(0.5, 10.0)
         for seed in range(20):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.topology import build_random_tree
+from repro.traces.gilbert import GilbertModel, bytes_from_bitmask
 from repro.traces.model import TraceError
 from repro.traces.synthesize import (
     SynthesisParams,
+    _sample_trace,
     calibrate_link_rates,
     expected_total_losses,
     raw_link_propensities,
@@ -64,6 +66,120 @@ class TestCalibration:
         propensities = raw_link_propensities(tree, random.Random(3))
         rates = calibrate_link_rates(tree, propensities, 500, 1000, rate_cap=0.4)
         assert all(rate <= 0.4 for rate in rates.values())
+
+
+def per_path_expected_losses(tree, rates, n_packets):
+    """Reference: walk every receiver's source path, multiplying left to
+    right (the definition the top-down calibration must reproduce)."""
+    total = 0.0
+    for receiver in tree.receivers:
+        path = tree.path(tree.source, receiver)
+        survive = 1.0
+        for link in zip(path, path[1:]):
+            survive *= 1.0 - rates[link]
+        total += 1.0 - survive
+    return total * n_packets
+
+
+def per_path_calibration(tree, propensities, target, n_packets, rate_cap=0.60):
+    """Reference bisection over :func:`per_path_expected_losses`."""
+
+    def rates_at(scale):
+        return {link: min(p * scale, rate_cap) for link, p in propensities.items()}
+
+    lo, hi = 0.0, 1.0
+    while per_path_expected_losses(tree, rates_at(hi), n_packets) < target:
+        hi *= 2.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if per_path_expected_losses(tree, rates_at(mid), n_packets) < target:
+            lo = mid
+        else:
+            hi = mid
+    return rates_at((lo + hi) / 2.0)
+
+
+tree_shapes = st.tuples(
+    st.integers(min_value=1, max_value=40),  # receivers
+    st.integers(min_value=2, max_value=7),  # depth
+    st.integers(min_value=0, max_value=2**32),  # topology seed
+)
+
+
+class TestTopDownExactness:
+    """Top-down survival products and ancestor masks are exact, not
+    approximate, replacements for the per-receiver path walks."""
+
+    @given(shape=tree_shapes, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_expected_losses_equal_per_path_walk(self, shape, data):
+        n_receivers, depth, seed = shape
+        tree = build_random_tree(n_receivers, depth, random.Random(seed))
+        links = tree.links
+        values = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=0.6),
+                min_size=len(links),
+                max_size=len(links),
+            )
+        )
+        rates = dict(zip(links, values))
+        n_packets = data.draw(st.integers(min_value=1, max_value=5000))
+        assert expected_total_losses(tree, rates, n_packets) == (
+            per_path_expected_losses(tree, rates, n_packets)
+        )
+
+    @given(shape=tree_shapes, propensity_seed=st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_calibration_equals_per_path_bisection(self, shape, propensity_seed):
+        n_receivers, depth, seed = shape
+        tree = build_random_tree(n_receivers, depth, random.Random(seed))
+        propensities = raw_link_propensities(tree, random.Random(propensity_seed))
+        n_packets = 400
+        target = max(1, round(0.05 * n_packets * n_receivers))
+        assert calibrate_link_rates(tree, propensities, target, n_packets) == (
+            per_path_calibration(tree, propensities, target, n_packets)
+        )
+
+    @given(shape=tree_shapes, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sampled_loss_seqs_are_per_path_or_of_link_masks(self, shape, data):
+        n_receivers, depth, seed = shape
+        tree = build_random_tree(n_receivers, depth, random.Random(seed))
+        links = tree.links
+        values = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=0.6),
+                min_size=len(links),
+                max_size=len(links),
+            )
+        )
+        rates = dict(zip(links, values))
+        sample_seed = data.draw(st.integers(min_value=0, max_value=2**32))
+        params = small_params(
+            n_receivers=n_receivers, tree_depth=depth, n_packets=200
+        )
+        synthetic = _sample_trace(params, tree, rates, random.Random(sample_seed))
+
+        # The link masks, drawn exactly as _sample_trace draws them.
+        rng = random.Random(sample_seed)
+        masks = {}
+        for link in links:
+            if rates[link] <= 0.0:
+                masks[link] = 0
+                continue
+            burst = rng.uniform(params.min_burst, params.max_burst)
+            model = GilbertModel.from_rate_and_burst(rates[link], burst)
+            masks[link] = model.sample_mask(params.n_packets, rng)
+        expected = {}
+        for receiver in tree.receivers:
+            path = tree.path(tree.source, receiver)
+            mask = 0
+            for link in zip(path, path[1:]):
+                mask |= masks[link]
+            expected[receiver] = bytes_from_bitmask(mask, params.n_packets)
+        assert synthetic.trace.loss_seqs == expected
+        assert list(synthetic.trace.loss_seqs) == list(tree.receivers)
 
 
 class TestSynthesis:
